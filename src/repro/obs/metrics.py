@@ -31,8 +31,9 @@ from __future__ import annotations
 import math
 import os
 import threading
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from contextlib import contextmanager
+from itertools import accumulate
 
 __all__ = [
     "Counter",
@@ -163,23 +164,42 @@ def fraction_over(bounds: tuple[float, ...], counts, threshold: float) -> float:
     split geometrically (linearly for the zero-edged first bucket), matching
     :func:`quantile_from_buckets`.
     """
-    total = sum(counts)
+    return fraction_over_cumulative(bounds, list(accumulate(counts)), threshold)
+
+
+def fraction_over_cumulative(
+    bounds: tuple[float, ...], cumulative, threshold: float, baseline=None
+) -> float:
+    """:func:`fraction_over` from cumulative bucket counts.
+
+    With ``baseline`` (an earlier cumulative snapshot of the same histogram)
+    the fraction is of the observations made since it.  Only the total and
+    the cumulative counts either side of the threshold's bucket are read.
+    Counts are integers, so the result equals a bucket-by-bucket sum.
+    """
+    # Buckets [0, whole) lie entirely at or below the threshold.
+    whole = bisect_right(bounds, threshold)
+    last = len(cumulative) - 1
+    straddling = min(whole, last)
+    total = cumulative[last]
+    up_to = cumulative[whole - 1] if whole else 0
+    through = cumulative[straddling]
+    if baseline is not None:
+        total -= baseline[last]
+        up_to -= baseline[whole - 1] if whole else 0
+        through -= baseline[straddling]
     if total == 0:
         return 0.0
-    below = 0.0
-    for index, bucket_count in enumerate(counts):
-        if index >= len(bounds):
-            break  # overflow bucket: entirely above any finite threshold
-        upper = bounds[index]
-        lower = bounds[index - 1] if index > 0 else 0.0
-        if upper <= threshold:
-            below += bucket_count
-        elif lower < threshold:
+    below = float(up_to)
+    if whole < len(bounds):
+        upper = bounds[whole]
+        lower = bounds[whole - 1] if whole > 0 else 0.0
+        if lower < threshold:
             if lower > 0.0:
                 within = math.log(threshold / lower) / math.log(upper / lower)
             else:
                 within = threshold / upper if upper > 0 else 0.0
-            below += bucket_count * max(0.0, min(1.0, within))
+            below += (through - up_to) * max(0.0, min(1.0, within))
     return max(0.0, min(1.0, 1.0 - below / total))
 
 
@@ -275,6 +295,7 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._families: dict[str, _Family] = {}
         self._lock = threading.Lock()
+        self._flat: tuple | None = None  # read_series() cache, reset on creation
 
     # -- instrument creation ------------------------------------------------
     def _series(self, name: str, kind: str, help: str, labels: dict | None, factory):
@@ -295,6 +316,7 @@ class MetricsRegistry:
             if instrument is None:
                 instrument = factory()
                 family.series[key] = instrument
+                self._flat = None
             return instrument
 
     def counter(self, name: str, help: str = "", labels: dict | None = None) -> Counter:
@@ -365,21 +387,25 @@ class MetricsRegistry:
             )
         return out
 
-    def read_series(self) -> list:
+    def read_series(self) -> tuple:
         """Flat live view for samplers: ``(name, kind, label_key, instrument)``.
 
         The sampler's hot path: no per-call dict rendering, no sorting, no
         cumulative-bucket lists — the caller reads instrument state directly.
-        The instruments are live, so readers see values concurrent updates
-        produce (individual attribute reads are atomic under the GIL), the
-        same consistency :meth:`snapshot` offers.
+        The same tuple comes back until a new series is created, so a sampler
+        can key per-series work on its identity.  The instruments are live,
+        so readers see values concurrent updates produce (individual
+        attribute reads are atomic under the GIL), the same consistency
+        :meth:`snapshot` offers.
         """
         with self._lock:
-            return [
-                (family.name, family.kind, key, instrument)
-                for family in self._families.values()
-                for key, instrument in family.series.items()
-            ]
+            if self._flat is None:
+                self._flat = tuple(
+                    (family.name, family.kind, key, instrument)
+                    for family in self._families.values()
+                    for key, instrument in family.series.items()
+                )
+            return self._flat
 
     def get(self, name: str, labels: dict | None = None):
         """The existing instrument for ``name{labels}``, or ``None``."""
@@ -463,8 +489,8 @@ class NullRegistry:
     def snapshot(self) -> list[dict]:
         return []
 
-    def read_series(self) -> list:
-        return []
+    def read_series(self) -> tuple:
+        return ()
 
     def get(self, name: str, labels: dict | None = None):
         return None

@@ -11,7 +11,7 @@ Both supported SLO kinds reduce to the same bad-fraction formula:
 * ``latency`` — "p99 < 50ms" is equivalent to "at most 1% of requests may be
   slower than 50ms", so the allowed bad fraction (the *budget*) is ``1 - q``
   and the observed bad fraction comes from windowed histogram-bucket deltas
-  (:meth:`TimeSeriesDB.fraction_over`);
+  (:meth:`TimeSeriesDB.fractions_over`);
 * ``ratio`` — "fallback rate < 2%" divides a bad-event counter's windowed
   increase by a total counter's, with budget 0.02.
 
@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 from .timeseries import TimeSeriesDB
 
@@ -95,6 +96,11 @@ class SLO:
 
     def target(self) -> str:
         """Human-readable one-line statement of the objective."""
+        return self._target
+
+    @cached_property
+    def _target(self) -> str:
+        # Computed once: alerting restates it on every tick.
         if self.kind == "latency":
             return (
                 f"{self.metric} p{self.quantile * 100:g} "
@@ -177,25 +183,25 @@ class SLOEngine:
     def slos(self) -> list[SLO]:
         return list(self._slos.values())
 
-    def _bad_fraction(self, slo: SLO, window: float, now: float) -> tuple[float, int]:
-        """(observed bad fraction, samples in window) for one window."""
+    def _bad_fractions(self, slo: SLO, now: float) -> list[tuple[float, int]]:
+        """(observed bad fraction, samples) over the fast, slow and budget
+        windows, read in one pass over each series."""
+        windows = (slo.fast_window, slo.slow_window, slo.budget_window)
         if slo.kind == "latency":
-            return self.tsdb.fraction_over(
-                slo.metric, slo.objective, window, labels=slo.labels, now=now
+            return self.tsdb.fractions_over(
+                slo.metric, slo.objective, windows, labels=slo.labels, now=now
             )
-        bad = self.tsdb.increase(slo.metric, window, labels=slo.labels, now=now)
-        total = self.tsdb.increase(
-            slo.total_metric, window, labels=slo.total_labels, now=now
+        bad = self.tsdb.increases(slo.metric, windows, labels=slo.labels, now=now)
+        total = self.tsdb.increases(
+            slo.total_metric, windows, labels=slo.total_labels, now=now
         )
-        if total <= 0:
-            return 0.0, 0
-        return min(1.0, bad / total), int(total)
+        return [
+            (min(1.0, b / t), int(t)) if t > 0 else (0.0, 0) for b, t in zip(bad, total)
+        ]
 
     def evaluate_one(self, slo: SLO, now: float | None = None) -> SLOStatus:
         ts = self._clock() if now is None else float(now)
-        fast_bad, fast_n = self._bad_fraction(slo, slo.fast_window, ts)
-        slow_bad, slow_n = self._bad_fraction(slo, slo.slow_window, ts)
-        budget_bad, _ = self._bad_fraction(slo, slo.budget_window, ts)
+        (fast_bad, fast_n), (slow_bad, slow_n), (budget_bad, _) = self._bad_fractions(slo, ts)
         budget = slo.budget
         fast_burn = fast_bad / budget
         slow_burn = slow_bad / budget

@@ -8,11 +8,12 @@ Design constraints, in order:
   ring buffers (``collections.deque``), so a sampler left running for a week
   uses exactly as much memory as one left running for an hour;
 * **tiered downsampling** — each series keeps a raw tier at the sampling
-  cadence plus aggregated tiers at 1s / 10s / 1m resolution.  Raw points feed
-  every tier's accumulator directly; when a tier bucket closes its aggregate
-  (first/last/min/max/sum/count) is sealed into that tier's ring.  Windowed
-  queries pick the finest tier that still covers the window, so recent
-  questions get raw resolution and old questions get cheap coarse answers;
+  cadence plus aggregated tiers at 1s / 10s / 1m resolution.  Raw points are
+  folded into every tier's accumulator (in batches, see :class:`_Series`);
+  when a tier bucket closes its aggregate (first/last/min/max/sum/count) is
+  sealed into that tier's ring.  Windowed queries pick the finest tier that
+  still covers the window, so recent questions get raw resolution and old
+  questions get cheap coarse answers;
 * **cumulative-aware queries** — counters and histogram counts are stored as
   the cumulative values the registry exposes; ``rate``/``increase`` and
   windowed quantiles are *deltas* between the window edges, so a restart
@@ -32,12 +33,15 @@ import json
 import math
 import threading
 import time
+from bisect import bisect_right
 from collections import deque
-from itertools import accumulate
+from functools import reduce
+from itertools import accumulate, groupby, islice
 from dataclasses import dataclass
+from operator import add, gt, itemgetter
 from pathlib import Path
 
-from .metrics import fraction_over, get_registry, quantile_from_buckets
+from .metrics import fraction_over_cumulative, get_registry, quantile_from_buckets
 
 __all__ = [
     "MetricsSampler",
@@ -49,6 +53,9 @@ __all__ = [
 
 #: Schema version stamped into every TSDB JSONL dump's meta header.
 TSDB_SCHEMA = 1
+#: Samples a series holds in its raw tier alone before folding them into the
+#: aggregated tiers in one pass (sooner when a query needs those tiers).
+FOLD_BATCH = 64
 
 
 @dataclass(frozen=True)
@@ -90,8 +97,9 @@ SeriesKey = tuple
 # --------------------------------------------------------------------------- #
 # Points and tiers
 # --------------------------------------------------------------------------- #
-# Scalar points are plain lists [ts, last, min, max, sum, count] (JSON-ready,
-# compact); histogram points are [ts, count, sum, [cumulative bucket counts]].
+# Scalar points are [ts, last, min, max, sum, count] (JSON-ready, compact);
+# histogram points are [ts, count, sum, [cumulative bucket counts]].  Raw
+# samples are tuples (one allocation, never mutated); aggregates are lists.
 _TS, _LAST, _MIN, _MAX, _SUM, _COUNT = range(6)
 
 
@@ -101,52 +109,79 @@ class _Tier:
     ``resolution=None`` is the raw tier (every sample is its own point);
     otherwise samples accumulate into ``floor(ts / resolution)`` buckets and a
     bucket's aggregate is sealed into the ring when a later sample opens the
-    next bucket.
+    next bucket.  ``ordered`` stays true while the ring's timestamps never
+    decrease, which lets :meth:`at_or_before` binary-search it.
     """
 
-    __slots__ = ("resolution", "points", "_bucket", "_acc")
+    __slots__ = ("resolution", "points", "ordered", "_last_ts", "_bucket", "_acc")
 
     def __init__(self, resolution: float | None, capacity: int) -> None:
         self.resolution = resolution
         self.points: deque = deque(maxlen=capacity)
+        self.ordered = True
+        self._last_ts = -math.inf
         self._bucket: int | None = None
         self._acc: list | None = None
 
-    def add_scalar(self, ts: float, value: float) -> None:
-        if self.resolution is None:
-            self.points.append([ts, value, value, value, value, 1])
-            return
-        bucket = int(ts // self.resolution)
-        if bucket != self._bucket:
-            self.flush()
-            self._bucket = bucket
-            self._acc = [ts, value, value, value, value, 1]
-        else:
-            acc = self._acc
-            acc[_TS] = ts
-            acc[_LAST] = value
-            acc[_MIN] = min(acc[_MIN], value)
-            acc[_MAX] = max(acc[_MAX], value)
-            acc[_SUM] += value
-            acc[_COUNT] += 1
+    def append(self, point: list | tuple) -> None:
+        ts = point[_TS]
+        if ts < self._last_ts:
+            self.ordered = False
+        self._last_ts = ts
+        self.points.append(point)
 
-    def add_hist(self, ts: float, count: int, total: float, buckets: list) -> None:
-        # Histogram samples are cumulative: the freshest point in a bucket
-        # carries everything the earlier ones did, so "last wins" is exact.
-        point = [ts, count, total, buckets]
-        if self.resolution is None:
-            self.points.append(point)
-            return
-        bucket = int(ts // self.resolution)
-        if bucket != self._bucket:
-            self.flush()
-            self._bucket = bucket
-        self._acc = point
+    def add_scalars(self, points: list) -> None:
+        """Fold raw scalar points ``(ts, v, v, v, v, 1)``, oldest first.
+
+        Consecutive points in one bucket fold at once with ``min``, ``max``
+        and a left-to-right sum, which gives the same aggregate, bit for bit,
+        as folding them one at a time.
+        """
+        for bucket, run in self._runs(points):
+            if bucket != self._bucket:
+                self.flush()
+                self._bucket = bucket
+                ts, value = run[0][_TS], run[0][_LAST]
+                self._acc = [ts, value, value, value, value, 1]
+                run = run[1:]
+                if not run:
+                    continue
+            acc = self._acc
+            values = [point[_LAST] for point in run]
+            acc[_TS] = run[-1][_TS]
+            acc[_LAST] = values[-1]
+            acc[_MIN] = min(acc[_MIN], *values)
+            acc[_MAX] = max(acc[_MAX], *values)
+            acc[_SUM] = reduce(add, values, acc[_SUM])
+            acc[_COUNT] += len(values)
+
+    def add_hists(self, points: list) -> None:
+        """Fold raw histogram points ``(ts, count, sum, buckets)``.
+
+        Histogram samples are cumulative: the freshest point in a bucket
+        carries everything the earlier ones did, so "last wins" is exact.
+        """
+        for bucket, run in self._runs(points):
+            if bucket != self._bucket:
+                self.flush()
+                self._bucket = bucket
+            self._acc = run[-1]
+
+    def _runs(self, points: list):
+        """``(bucket, points)`` for each run of consecutive points that share
+        a bucket, oldest first."""
+        resolution = self.resolution
+        keys = [int(point[_TS] // resolution) for point in points]
+        start = 0
+        for bucket, run in groupby(keys):
+            stop = start + len(list(run))
+            yield bucket, points[start:stop]
+            start = stop
 
     def flush(self) -> None:
         """Seal the open accumulator (if any) into the ring."""
         if self._acc is not None:
-            self.points.append(self._acc)
+            self.append(self._acc)
             self._acc = None
             self._bucket = None
 
@@ -181,6 +216,21 @@ class _Tier:
         out.reverse()
         return out
 
+    def at_or_before(self, ts: float):
+        """The open accumulator if it is at or before ``ts``, else the newest
+        ring point that is (binary search while the ring is ordered)."""
+        acc = self._acc
+        if acc is not None and acc[_TS] <= ts:
+            return acc
+        points = self.points
+        if self.ordered:
+            index = bisect_right(points, ts, key=_ts_of)
+            return points[index - 1] if index else None
+        for point in reversed(points):
+            if point[_TS] <= ts:
+                return point
+        return None
+
     def span_start(self) -> float | None:
         if self.points:
             return self.points[0][_TS]
@@ -189,10 +239,21 @@ class _Tier:
         return None
 
 
-class _Series:
-    """All tiers of one ``name{labels}`` series."""
+_ts_of = itemgetter(_TS)
 
-    __slots__ = ("name", "labels", "kind", "bounds", "tiers")
+
+class _Series:
+    """All tiers of one ``name{labels}`` series.
+
+    Samples go to the raw tier at once; the aggregated tiers take the newest
+    ``unfolded`` raw points in batches of ``FOLD_BATCH``, or when a query
+    needs those tiers.  Queries the raw ring answers alone — a window
+    inside its span, or any window while it still holds every sample — never
+    fold, so a sample touches one tier, not four, and every answer and sealed
+    point comes out exactly as if each sample had gone to every tier.
+    """
+
+    __slots__ = ("name", "labels", "kind", "bounds", "tiers", "raw", "unfolded", "_fold_at")
 
     def __init__(
         self,
@@ -206,17 +267,39 @@ class _Series:
         self.labels = labels
         self.kind = kind  # "counter" | "gauge" | "histogram"
         self.bounds = bounds
-        self.tiers = [_Tier(None, config.raw_capacity)] + [
+        self.raw = _Tier(None, config.raw_capacity)
+        self.tiers = [self.raw] + [
             _Tier(res, config.tier_capacity) for res in config.tier_resolutions
         ]
+        self.unfolded = 0  # newest raw points the aggregated tiers lack
+        self._fold_at = min(FOLD_BATCH, config.raw_capacity)
 
-    def add_scalar(self, ts: float, value: float) -> None:
-        for tier in self.tiers:
-            tier.add_scalar(ts, value)
+    def add(self, point: tuple) -> None:
+        """Append one raw point: ``(ts, v, v, v, v, 1)`` for scalars,
+        ``(ts, count, sum, cumulative buckets)`` for histograms."""
+        if self.unfolded >= self._fold_at:
+            self.fold()
+        # _Tier.append inlined: this runs once per series per sample.
+        raw = self.raw
+        ts = point[_TS]
+        if ts < raw._last_ts:
+            raw.ordered = False
+        raw._last_ts = ts
+        raw.points.append(point)
+        self.unfolded += 1
 
-    def add_hist(self, ts: float, count: int, total: float, buckets: list) -> None:
-        for tier in self.tiers:
-            tier.add_hist(ts, count, total, buckets)
+    def fold(self) -> None:
+        """Bring the aggregated tiers up to date with the raw tier."""
+        if not self.unfolded:
+            return
+        points = list(islice(reversed(self.raw.points), self.unfolded))
+        points.reverse()
+        for tier in self.tiers[1:]:
+            if self.kind == "histogram":
+                tier.add_hists(points)
+            else:
+                tier.add_scalars(points)
+        self.unfolded = 0
 
     def select(self, start: float) -> list:
         """Points covering ``[start, now]`` from the finest adequate tier.
@@ -226,6 +309,10 @@ class _Series:
         the whole window, the tier reaching furthest back wins (finest on
         ties) — better a partial fine answer than none.
         """
+        span_start = self.raw.span_start()
+        if span_start is not None and span_start <= start:
+            return self.raw.points_since(start)
+        self.fold()
         best: tuple[float, _Tier] | None = None
         for tier in self.tiers:
             span_start = tier.span_start()
@@ -240,28 +327,49 @@ class _Series:
         return best[1].points_since(start)
 
     def at_or_before(self, ts: float):
-        """The freshest point with timestamp <= ``ts`` (window baseline)."""
+        """The freshest point with timestamp <= ``ts``."""
+        self.fold()
         best = None
         for tier in self.tiers:
-            # O(1) reject: if even the oldest retained point is newer than
-            # ``ts``, the reverse walk below would scan the whole ring just to
-            # find nothing — the common case when the query window is longer
-            # than the retained span.
+            # O(1) reject: a tier whose oldest retained point is newer than
+            # ``ts`` has nothing to offer — the common case when the query
+            # window is longer than the retained span.
             span_start = tier.span_start()
             if span_start is None or span_start > ts:
                 continue
-            acc = tier._acc
-            candidate = acc if acc is not None and acc[_TS] <= ts else None
-            if candidate is None:
-                for point in reversed(tier.points):
-                    if point[_TS] <= ts:
-                        candidate = point
-                        break
+            candidate = tier.at_or_before(ts)
             if candidate is not None and (best is None or candidate[_TS] > best[_TS]):
                 best = candidate
         return best
 
+    def baselines(self, starts) -> list:
+        """Cumulative windows' baselines: per start, the freshest point at or
+        before it, else (short history, long window) the oldest point.
+
+        While raw timestamps never decreased, the raw ring holds every sample
+        from its oldest point on, in order, and every aggregated point
+        carries the timestamp of a sample: no aggregated point is fresher
+        than raw's answer, nor older than raw's first point while the ring
+        has dropped nothing (ties go to the finer tier anyway).  Only other
+        cases fold and scan every tier.
+        """
+        raw = self.raw
+        points = raw.points
+        raw_only = raw.ordered and bool(points)
+        holds_all = raw_only and len(points) < points.maxlen
+        out = []
+        for start in starts:
+            if raw_only and points[0][_TS] <= start:
+                out.append(raw.at_or_before(start))
+            elif holds_all:
+                out.append(points[0])
+            else:
+                out.append(self.at_or_before(start) or self.oldest())
+        return out
+
     def latest(self):
+        if self.raw.points:
+            return self.raw.points[-1]
         for tier in self.tiers:
             newest = tier.newest()
             if newest is not None:
@@ -274,6 +382,7 @@ class _Series:
         Ties go to the finest tier, matching :meth:`select`'s
         furthest-back-finest-on-ties choice.
         """
+        self.fold()
         best = None
         for tier in self.tiers:
             if tier.points:
@@ -285,6 +394,21 @@ class _Series:
             if best is None or candidate[_TS] < best[_TS]:
                 best = candidate
         return best
+
+
+def _snapshot_points(snapshot: list, ts: float):
+    """The same rows from a foreign registry's ``snapshot()`` exposition."""
+    for family in snapshot:
+        kind = family["kind"]
+        for rendered in family["series"]:
+            key = (family["name"], _label_key(rendered.get("labels", {})))
+            if kind == "histogram":
+                bounds = tuple(b for b, _ in rendered["buckets"] if b is not None)
+                buckets = [c for _, c in rendered["buckets"]]
+                yield key, kind, bounds, (ts, rendered["count"], rendered["sum"], buckets)
+            else:
+                value = rendered["value"]
+                yield key, kind, None, (ts, value, value, value, value, 1)
 
 
 # --------------------------------------------------------------------------- #
@@ -301,6 +425,8 @@ class TimeSeriesDB:
         self.config = config or TimeSeriesConfig()
         self._clock = clock
         self._series: dict[SeriesKey, _Series] = {}
+        self._plan_rows = None  # the registry rows self._plan was built from
+        self._plan: list = []  # (series, instrument, is histogram) per row
         self._lock = threading.Lock()
         self.samples_taken = 0
 
@@ -322,63 +448,40 @@ class TimeSeriesDB:
         ts = self._clock() if now is None else float(now)
         reader = getattr(registry, "read_series", None)
         touched = 0
-        if reader is not None:
-            with self._lock:
-                for name, kind, label_key, instrument in reader():
-                    key = (name, label_key)
-                    series = self._series.get(key)
-                    if kind == "histogram":
-                        if series is None:
-                            series = _Series(
-                                name, dict(label_key), kind, self.config,
-                                instrument.bounds,
-                            )
-                            self._series[key] = series
-                        series.add_hist(
-                            ts,
-                            instrument.count,
-                            instrument.sum,
-                            list(accumulate(instrument.bucket_counts)),
-                        )
-                    else:
-                        if series is None:
-                            series = _Series(name, dict(label_key), kind, self.config)
-                            self._series[key] = series
-                        series.add_scalar(ts, instrument.value)
-                    touched += 1
-                self.samples_taken += 1
-            return touched
-        snapshot = registry.snapshot()
         with self._lock:
-            for family in snapshot:
-                kind = family["kind"]
-                for rendered in family["series"]:
-                    labels = rendered.get("labels", {})
-                    key = (family["name"], _label_key(labels))
-                    series = self._series.get(key)
-                    if kind == "histogram":
-                        bounds = tuple(
-                            b for b, _ in rendered["buckets"] if b is not None
-                        )
-                        if series is None:
-                            series = _Series(
-                                family["name"], dict(labels), kind, self.config, bounds
-                            )
-                            self._series[key] = series
-                        cumulative = [c for _, c in rendered["buckets"]]
-                        series.add_hist(
-                            ts, rendered["count"], rendered["sum"], cumulative
-                        )
-                    else:
-                        if series is None:
-                            series = _Series(
-                                family["name"], dict(labels), kind, self.config
-                            )
-                            self._series[key] = series
-                        series.add_scalar(ts, rendered["value"])
+            if reader is None:
+                for key, kind, bounds, point in _snapshot_points(registry.snapshot(), ts):
+                    self._series_for(key, kind, bounds).add(point)
                     touched += 1
+            else:
+                rows = reader()
+                if rows is not self._plan_rows:
+                    # The registry hands back the same rows until it grows a
+                    # series, so the series lookups are done once per change.
+                    self._plan = []
+                    for name, kind, key, instrument in rows:
+                        histogram = kind == "histogram"
+                        bounds = instrument.bounds if histogram else None
+                        series = self._series_for((name, key), kind, bounds)
+                        self._plan.append((series, instrument, histogram))
+                    self._plan_rows = rows
+                for series, instrument, histogram in self._plan:
+                    if histogram:
+                        buckets = list(accumulate(instrument.bucket_counts))
+                        series.add((ts, instrument.count, instrument.sum, buckets))
+                    else:
+                        value = instrument.value
+                        series.add((ts, value, value, value, value, 1))
+                touched = len(self._plan)
             self.samples_taken += 1
         return touched
+
+    def _series_for(self, key: SeriesKey, kind: str, bounds) -> _Series:
+        series = self._series.get(key)
+        if series is None:
+            series = _Series(key[0], dict(key[1]), kind, self.config, bounds)
+            self._series[key] = series
+        return series
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -468,24 +571,38 @@ class TimeSeriesDB:
             "points": len(points),
         }
 
-    def _window_edges(self, series: _Series, start: float):
-        """(baseline, end) points bracketing a window on cumulative data.
+    def _edges(self, name, labels, windows, now, histogram: bool = False):
+        """``(series, [(baseline, end) per window])`` on cumulative data.
 
-        The baseline is the freshest point at-or-before the window start (so
-        the delta covers the whole window, not just the sampled interior);
-        with no point that old, the earliest retained point is used.
+        The series and its end point are resolved once for all windows.  The
+        baseline is the freshest point at-or-before the window start (so the
+        delta covers the whole window, not just the sampled interior); with no
+        point that old, the earliest retained point is used.  A missing series
+        (or a non-histogram one when ``histogram``) gives ``(None, None)``
+        pairs.
         """
-        end_point = series.latest()
-        if end_point is None:
-            return None, None
-        base = series.at_or_before(start)
-        if base is None:
-            # Every retained point is newer than the window start (short run,
-            # long window): the oldest point is the baseline.  O(#tiers) —
-            # materialising the whole window via select() here made per-tick
-            # cost grow with every accumulated sample.
-            base = series.oldest() or end_point
-        return base, end_point
+        end = self._clock() if now is None else float(now)
+        with self._lock:
+            series = self._series.get((name, _label_key(labels)))
+            end_point = series.latest() if series is not None else None
+            if end_point is None or (histogram and series.kind != "histogram"):
+                return series, [(None, None)] * len(windows)
+            bases = series.baselines([end - window for window in windows])
+            return series, [(base or end_point, end_point) for base in bases]
+
+    def increases(
+        self,
+        name: str,
+        windows,
+        labels: dict | None = None,
+        now: float | None = None,
+    ) -> list[float]:
+        """:meth:`increase` over several windows in one pass."""
+        _, edges = self._edges(name, labels, windows, now)
+        return [
+            0.0 if base is None or base is last else max(0.0, last[1] - base[1])
+            for base, last in edges
+        ]
 
     def increase(
         self,
@@ -496,15 +613,7 @@ class TimeSeriesDB:
     ) -> float:
         """Cumulative increase of a counter (or histogram count) over the
         window, clamped at 0 so a process restart never yields negatives."""
-        end = self._now(now)
-        with self._lock:
-            series = self._get(name, labels)
-            if series is None:
-                return 0.0
-            base, last = self._window_edges(series, end - window)
-        if base is None or base is last:
-            return 0.0
-        return max(0.0, last[1] - base[1])
+        return self.increases(name, (window,), labels, now)[0]
 
     def rate(
         self,
@@ -514,12 +623,7 @@ class TimeSeriesDB:
         now: float | None = None,
     ) -> float:
         """Per-second increase of a counter over the window."""
-        end = self._now(now)
-        with self._lock:
-            series = self._get(name, labels)
-            if series is None:
-                return 0.0
-            base, last = self._window_edges(series, end - window)
+        _, ((base, last),) = self._edges(name, labels, (window,), now)
         if base is None or base is last:
             return 0.0
         elapsed = last[_TS] - base[_TS]
@@ -527,32 +631,17 @@ class TimeSeriesDB:
             return 0.0
         return max(0.0, last[1] - base[1]) / elapsed
 
-    def _hist_delta(self, name: str, window: float, labels, now):
-        """(delta per-bucket counts, bounds, delta count, delta sum)."""
-        end = self._now(now)
-        with self._lock:
-            series = self._get(name, labels)
-            if series is None or series.kind != "histogram":
-                return None
-            base, last = self._window_edges(series, end - window)
-        if base is None:
-            return None
-        bounds = series.bounds
-        if base is last:
-            cumulative = list(last[3])
-            count, total = last[1], last[2]
-        else:
-            cumulative = [b - a for a, b in zip(base[3], last[3])]
-            count, total = last[1] - base[1], last[2] - base[2]
-        if count <= 0 or any(c < 0 for c in cumulative):
-            # Restart (cumulative reset) inside the window: fall back to the
-            # end point's full distribution rather than reporting garbage.
-            cumulative = list(last[3])
-            count, total = last[1], last[2]
-        per_bucket = [cumulative[0]] + [
-            b - a for a, b in zip(cumulative, cumulative[1:])
-        ]
-        return per_bucket, bounds, count, total
+    @staticmethod
+    def _hist_window(base, last):
+        """(baseline cumulative bucket counts or ``None``, count, sum) of a
+        histogram window.  ``None`` means the end point's full distribution:
+        an empty window, or a restart (cumulative reset) inside it, which
+        would otherwise report garbage."""
+        if base is not last:
+            count = last[1] - base[1]
+            if count > 0 and not any(map(gt, base[3], last[3])):
+                return base[3], count, last[2] - base[2]
+        return None, last[1], last[2]
 
     def quantile(
         self,
@@ -563,11 +652,48 @@ class TimeSeriesDB:
         now: float | None = None,
     ) -> float:
         """Windowed ``q``-quantile of a histogram series (bucket deltas)."""
-        delta = self._hist_delta(name, window, labels, now)
-        if delta is None:
+        series, ((base, last),) = self._edges(name, labels, (window,), now, histogram=True)
+        if base is None:
             return 0.0
-        per_bucket, bounds, _, _ = delta
-        return quantile_from_buckets(bounds, per_bucket, q)
+        baseline, _, _ = self._hist_window(base, last)
+        cumulative = last[3]
+        if baseline is not None:
+            cumulative = [b - a for a, b in zip(baseline, cumulative)]
+        per_bucket = [cumulative[0]] + [
+            b - a for a, b in zip(cumulative, cumulative[1:])
+        ]
+        return quantile_from_buckets(series.bounds, per_bucket, q)
+
+    def fractions_over(
+        self,
+        name: str,
+        threshold: float,
+        windows,
+        labels: dict | None = None,
+        now: float | None = None,
+    ) -> list[tuple[float, int]]:
+        """:meth:`fraction_over` over several windows in one pass.
+
+        Each answer reads two cumulative counts either side of the
+        threshold's bucket, and windows that share a baseline point (a short
+        run under long windows) share one answer.
+        """
+        series, edges = self._edges(name, labels, windows, now, histogram=True)
+        out: list[tuple[float, int]] = []
+        previous = None
+        for base, last in edges:
+            if base is None:
+                out.append((0.0, 0))
+            elif base is previous:
+                out.append(out[-1])
+            else:
+                baseline, count, _ = self._hist_window(base, last)
+                fraction = fraction_over_cumulative(
+                    series.bounds, last[3], threshold, baseline
+                )
+                out.append((fraction, int(count)))
+                previous = base
+        return out
 
     def fraction_over(
         self,
@@ -578,11 +704,7 @@ class TimeSeriesDB:
         now: float | None = None,
     ) -> tuple[float, int]:
         """(fraction of windowed observations above ``threshold``, samples)."""
-        delta = self._hist_delta(name, window, labels, now)
-        if delta is None:
-            return 0.0, 0
-        per_bucket, bounds, count, _ = delta
-        return fraction_over(bounds, per_bucket, threshold), int(count)
+        return self.fractions_over(name, threshold, (window,), labels, now)[0]
 
     # ------------------------------------------------------------------ #
     # Persistence
@@ -592,6 +714,7 @@ class TimeSeriesDB:
         with self._lock:
             rows = []
             for series in self._series.values():
+                series.fold()
                 rows.append(
                     {
                         "name": series.name,
@@ -658,7 +781,7 @@ class TimeSeriesDB:
             series = _Series(row["name"], row["labels"], row["kind"], db.config, bounds)
             for tier, stored in zip(series.tiers, row["tiers"]):
                 for point in stored["points"]:
-                    tier.points.append(point)
+                    tier.append(point)
             db._series[(row["name"], _label_key(row["labels"]))] = series
         return db
 

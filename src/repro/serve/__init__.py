@@ -73,6 +73,7 @@ from .service import LRUCache, PendingRecommendation, Recommendation, Recommenda
 from .snapshot import (
     SNAPSHOT_FORMAT_VERSION,
     EmbeddingSnapshot,
+    NonFiniteSnapshotError,
     SnapshotIntegrityError,
     active_snapshot_id,
     build_delta_snapshot,
@@ -86,6 +87,7 @@ from .snapshot import (
 __all__ = [
     "SNAPSHOT_FORMAT_VERSION",
     "SnapshotIntegrityError",
+    "NonFiniteSnapshotError",
     "EmbeddingSnapshot",
     "manifest_path",
     "active_snapshot_id",

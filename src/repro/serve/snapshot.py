@@ -28,6 +28,7 @@ from ..reliability.atomicio import atomic_write_bytes
 __all__ = [
     "SNAPSHOT_FORMAT_VERSION",
     "SnapshotIntegrityError",
+    "NonFiniteSnapshotError",
     "EmbeddingSnapshot",
     "create_snapshot",
     "build_snapshot",
@@ -57,6 +58,25 @@ class SnapshotIntegrityError(ValueError):
     Raised at *load* time — a broken artifact must be rejected before it can
     reach the serving path, not discovered query-by-query later.
     """
+
+
+class NonFiniteSnapshotError(SnapshotIntegrityError):
+    """An embedding table holds NaN or Inf values.
+
+    Such a table ranks nothing sensibly: a NaN user row serves an empty list
+    and a NaN item row poisons every query's top-K.  :func:`save_snapshot`
+    refuses to publish one and :func:`load_snapshot` refuses to load one.
+    """
+
+
+def _check_finite(path: Path, users: np.ndarray, items: np.ndarray) -> None:
+    for name, table in (("user_embeddings", users), ("item_embeddings", items)):
+        rows = np.flatnonzero(~np.isfinite(table).all(axis=-1))
+        if rows.size:
+            raise NonFiniteSnapshotError(
+                f"{path}: {name} has {rows.size} row(s) with NaN or Inf values "
+                f"(first rows: {rows[:5].tolist()})"
+            )
 
 
 @dataclass
@@ -359,11 +379,14 @@ def save_snapshot(snapshot: EmbeddingSnapshot, path: str | Path) -> Path:
     snapshot or the new one, nothing in between.  A sidecar manifest
     (:func:`manifest_path`) with per-array sha256 digests and a metadata echo
     is published the same way immediately after; :func:`load_snapshot` with
-    ``verify=True`` checks the arrays against it bit-for-bit.
+    ``verify=True`` checks the arrays against it bit-for-bit.  A snapshot
+    whose embedding tables hold NaN or Inf raises
+    :class:`NonFiniteSnapshotError` and nothing is written.
     """
     path = Path(path)
     if path.suffix != ".npz":
         path = path.with_suffix(path.suffix + ".npz")
+    _check_finite(path, snapshot.user_embeddings, snapshot.item_embeddings)
     path.parent.mkdir(parents=True, exist_ok=True)
     buffer = io.BytesIO()
     np.savez_compressed(
@@ -451,9 +474,10 @@ def load_snapshot(path: str | Path, verify: bool = False) -> EmbeddingSnapshot:
 
     Integrity: the metadata's shape fields are always validated against the
     actual arrays and the embedding content hash is always recomputed and
-    compared to the recorded ``snapshot_id`` — mismatches raise
-    :class:`SnapshotIntegrityError` here instead of surfacing as garbage at
-    query time.  With ``verify=True``, every array is additionally checked
+    compared to the recorded ``snapshot_id``, and both embedding tables must
+    be finite — failures raise :class:`SnapshotIntegrityError` (or its
+    subclass :class:`NonFiniteSnapshotError`) here instead of surfacing as
+    garbage at query time.  With ``verify=True``, every array is additionally checked
     bit-for-bit against the sidecar manifest's sha256 digests (and the
     manifest must exist and match this publish).
     """
@@ -485,6 +509,7 @@ def load_snapshot(path: str | Path, verify: bool = False) -> EmbeddingSnapshot:
                 f"{path}: snapshot archive is incomplete or unreadable ({error})"
             ) from error
     _validate_metadata(path, metadata, arrays)
+    _check_finite(path, arrays["user_embeddings"], arrays["item_embeddings"])
     if verify:
         _verify_manifest(path, metadata, arrays)
     return EmbeddingSnapshot(metadata=metadata, **arrays)

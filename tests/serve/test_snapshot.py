@@ -11,6 +11,8 @@ from repro.align import AlignedRecommender
 from repro.serve import (
     SNAPSHOT_FORMAT_VERSION,
     EmbeddingSnapshot,
+    NonFiniteSnapshotError,
+    SnapshotIntegrityError,
     build_snapshot,
     create_snapshot,
     load_snapshot,
@@ -106,6 +108,38 @@ class TestRoundtrip:
         np.savez(path, stuff=np.arange(3))
         with pytest.raises(ValueError, match="not a repro embedding snapshot"):
             load_snapshot(path)
+
+
+class TestNonFiniteTables:
+    @pytest.mark.parametrize(
+        "table, row, value",
+        [("item_embeddings", 3, np.nan), ("user_embeddings", 0, np.inf), ("item_embeddings", -1, -np.inf)],
+    )
+    def test_save_refuses_and_writes_nothing(self, lightgcn_backbone, tmp_path, table, row, value):
+        snapshot = create_snapshot(lightgcn_backbone)
+        getattr(snapshot, table)[row, 1] = value
+        path = tmp_path / "bad.npz"
+        with pytest.raises(NonFiniteSnapshotError, match=table):
+            save_snapshot(snapshot, path)
+        assert not path.exists()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_load_verify_rejects_a_published_nan_row(self, lightgcn_backbone, tmp_path, monkeypatch):
+        """A file published without the check (an older build) still cannot
+        reach the serving path."""
+        import importlib
+
+        snapshot_module = importlib.import_module("repro.serve.snapshot")
+        trained = create_snapshot(lightgcn_backbone)
+        items = trained.item_embeddings.copy()
+        items[2] = np.nan
+        snapshot = build_snapshot(trained.user_embeddings, items)
+        with monkeypatch.context() as patch:
+            patch.setattr(snapshot_module, "_check_finite", lambda *args: None)
+            path = save_snapshot(snapshot, tmp_path / "old.npz")
+        with pytest.raises(NonFiniteSnapshotError, match="item_embeddings has 1 row"):
+            load_snapshot(path, verify=True)
+        assert issubclass(NonFiniteSnapshotError, SnapshotIntegrityError)
 
 
 class TestBuildSnapshot:
