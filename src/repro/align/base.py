@@ -15,7 +15,7 @@ import numpy as np
 
 from ..data.sampling import BprBatch
 from ..llm.provider import SemanticEmbeddings
-from ..models.base import BaseRecommender
+from ..models.base import BaseRecommender, Propagated
 from ..nn import Module, Tensor, no_grad
 
 __all__ = ["AlignmentModule", "AlignedRecommender"]
@@ -36,6 +36,8 @@ class AlignmentModule(Module):
             )
         self.backbone = backbone
         self.semantic = semantic
+        # The semantic tables are frozen: stack them once, not per step.
+        self._semantic_joint = semantic.concatenated()
 
     #: Whether this module implements the :meth:`prepare_step` /
     #: :meth:`pure_alignment_loss` split that lets :func:`repro.nn.compile`
@@ -47,8 +49,13 @@ class AlignmentModule(Module):
     # ------------------------------------------------------------------ #
     # Hooks
     # ------------------------------------------------------------------ #
-    def alignment_loss(self, batch: BprBatch) -> Tensor:
-        """Auxiliary loss for one mini-batch (default: nothing)."""
+    def alignment_loss(self, batch: BprBatch, propagated: Propagated | None = None) -> Tensor:
+        """Auxiliary loss for one mini-batch (default: nothing).
+
+        ``propagated`` is the backbone's ``propagate()`` output that the joint
+        objective already holds on the tape; without it the module reads the
+        backbone itself.
+        """
         return Tensor(0.0)
 
     def prepare_step(self, batch: BprBatch) -> dict[str, np.ndarray]:
@@ -62,10 +69,13 @@ class AlignmentModule(Module):
         """
         return {}
 
-    def pure_alignment_loss(self, batch: BprBatch, prepared: dict) -> Tensor:
+    def pure_alignment_loss(
+        self, batch: BprBatch, prepared: dict, propagated: Propagated | None = None
+    ) -> Tensor:
         """Trace-safe loss: every step-varying value arrives via arguments.
 
-        ``batch`` fields and ``prepared`` values are tensors when tracing.
+        ``batch`` fields and ``prepared`` values are tensors when tracing;
+        ``propagated`` is as in :meth:`alignment_loss`.
         Only modules with ``supports_compiled_step = True`` need to implement
         this.
         """
@@ -89,9 +99,15 @@ class AlignmentModule(Module):
         items = np.unique(np.concatenate([batch.pos_items, batch.neg_items]))
         return np.concatenate([users, items + self.backbone.num_users])
 
+    def collaborative(self, propagated: Propagated | None = None) -> Tensor:
+        """Joint collaborative table ``E_C`` (users stacked above items) on the tape."""
+        if propagated is None:
+            return self.backbone.representations()
+        return Tensor.concat(propagated, axis=0)
+
     def semantic_matrix(self) -> np.ndarray:
         """Joint LLM-side embedding matrix (users stacked above items)."""
-        return self.semantic.concatenated()
+        return self._semantic_joint
 
 
 class AlignedRecommender(Module):
@@ -125,10 +141,15 @@ class AlignedRecommender(Module):
             self.alignment.on_epoch_start()
 
     def loss(self, batch: BprBatch) -> Tensor:
-        """Joint objective ``L_base + λ · L_align`` for one mini-batch."""
-        total = self.backbone.bpr_step(batch)
+        """Joint objective ``L_base + λ · L_align`` for one mini-batch.
+
+        Both terms read one backbone propagation: it is built on the tape
+        once and handed to each of them.
+        """
+        propagated = self.backbone.propagate()
+        total = self.backbone.bpr_step(batch, propagated)
         if self.alignment is not None and self.trade_off:
-            total = total + self.trade_off * self.alignment.alignment_loss(batch)
+            total = total + self.trade_off * self.alignment.alignment_loss(batch, propagated)
         return total
 
     # ------------------------------------------------------------------ #
@@ -164,14 +185,18 @@ class AlignedRecommender(Module):
         The returned function reconstructs a :class:`BprBatch` whose fields
         are input *tensors* (so every gather inside ``bpr_step`` becomes a
         dynamic-index op) and routes the alignment term through the trace-safe
-        :meth:`AlignmentModule.pure_alignment_loss`.
+        :meth:`AlignmentModule.pure_alignment_loss`.  As in :meth:`loss`, the
+        backbone propagates once per step.
         """
 
         def step_fn(params, inputs):
             batch = BprBatch(inputs["users"], inputs["pos_items"], inputs["neg_items"])
-            total = self.backbone.bpr_step(batch)
+            propagated = self.backbone.propagate()
+            total = self.backbone.bpr_step(batch, propagated)
             if self.alignment is not None and self.trade_off:
-                total = total + self.trade_off * self.alignment.pure_alignment_loss(batch, inputs)
+                total = total + self.trade_off * self.alignment.pure_alignment_loss(
+                    batch, inputs, propagated
+                )
             return total
 
         return step_fn

@@ -21,7 +21,7 @@ import numpy as np
 from ...cluster import kmeans
 from ...data.sampling import BprBatch, sample_instances
 from ...llm.provider import SemanticEmbeddings
-from ...models.base import BaseRecommender
+from ...models.base import BaseRecommender, Propagated
 from ...nn import Tensor, as_tensor, no_grad
 from ..base import AlignmentModule
 from .disentangle import DisentangledProjectors, DisentangledRepresentations
@@ -133,6 +133,8 @@ class DaRec(AlignmentModule):
             hidden_dim=self.config.hidden_dim,
             seed=self.config.seed,
         )
+        # A constant on the tape: compiled replays re-read it by reference.
+        self._semantic_tensor = Tensor(self.semantic_matrix())
 
     # ------------------------------------------------------------------ #
     # Disentanglement plumbing
@@ -206,13 +208,13 @@ class DaRec(AlignmentModule):
             components["local"] = local_structure_loss(collab_centers, llm_centers)
         return components
 
-    def alignment_loss(self, batch: BprBatch) -> Tensor:
+    def alignment_loss(self, batch: BprBatch, propagated: Propagated | None = None) -> Tensor:
         # Route the eager path through the same impure/pure split the compiled
         # path uses, so eager and replayed training walk one numeric path and
         # stay bit-identical (``loss_components`` remains available for
         # per-term ablation inspection).
         prepared = self.prepare_step(batch)
-        return self.pure_alignment_loss(batch, prepared)
+        return self.pure_alignment_loss(batch, prepared, propagated)
 
     # ------------------------------------------------------------------ #
     # Compiled execution (repro.nn.compile): impure/pure split
@@ -262,7 +264,9 @@ class DaRec(AlignmentModule):
         prepared["darec_llm_fallback"] = llm_fallback[llm_order]
         return prepared
 
-    def pure_alignment_loss(self, batch: BprBatch, prepared: dict) -> Tensor:
+    def pure_alignment_loss(
+        self, batch: BprBatch, prepared: dict, propagated: Propagated | None = None
+    ) -> Tensor:
         """Trace-safe DaRec objective; all step-varying data comes via ``prepared``.
 
         Mathematically identical to :meth:`alignment_loss` — the per-cluster
@@ -272,8 +276,8 @@ class DaRec(AlignmentModule):
         """
         config = self.config
         nodes = prepared["darec_nodes"]
-        collaborative = self.backbone.representations().take_rows(nodes)
-        semantic = self._semantic_tensor().take_rows(nodes)
+        collaborative = self.collaborative(propagated).take_rows(nodes)
+        semantic = self._semantic_tensor.take_rows(nodes)
         reps = self.projectors(collaborative, semantic)
         total: Tensor | None = None
 
@@ -307,14 +311,6 @@ class DaRec(AlignmentModule):
             )
             accumulate("local", local_structure_loss(collab_centers, llm_centers))
         return total if total is not None else Tensor(0.0)
-
-    def _semantic_tensor(self) -> Tensor:
-        """The full joint semantic matrix as a cached constant tensor."""
-        cached = getattr(self, "_semantic_constant", None)
-        if cached is None:
-            cached = Tensor(self.semantic_matrix())
-            self._semantic_constant = cached
-        return cached
 
 
 def _differentiable_centers(

@@ -13,7 +13,7 @@ import numpy as np
 
 from ..data.sampling import BprBatch
 from ..llm.provider import SemanticEmbeddings
-from ..models.base import BaseRecommender
+from ..models.base import BaseRecommender, Propagated
 from ..nn import MLP, Tensor, functional as F
 from .base import AlignmentModule
 
@@ -58,9 +58,9 @@ class KAR(AlignmentModule):
         items = items + self.blend * item_knowledge
         return users, items
 
-    def alignment_loss(self, batch: BprBatch) -> Tensor:
+    def alignment_loss(self, batch: BprBatch, propagated: Propagated | None = None) -> Tensor:
         """Auxiliary BPR loss computed on the knowledge-augmented scores."""
-        users, items = self.backbone.propagate()
+        users, items = self.backbone.propagate() if propagated is None else propagated
         users, items = self.transform_representations(users, items)
         user_vec = users.take_rows(batch.users)
         pos_vec = items.take_rows(batch.pos_items)

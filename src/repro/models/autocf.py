@@ -15,8 +15,8 @@ from ..data.interactions import InteractionDataset
 from ..data.sampling import BprBatch
 from ..graph.adjacency import build_normalized_adjacency
 from ..graph.augment import masked_interaction_matrix
-from ..nn import Tensor, functional as F, sparse_dense_matmul
-from .base import GraphRecommender
+from ..nn import Tensor, functional as F
+from .base import GraphRecommender, Propagated
 
 __all__ = ["AutoCF"]
 
@@ -52,26 +52,14 @@ class AutoCF(GraphRecommender):
         self._masked_adjacency = build_normalized_adjacency(self.dataset, interaction_matrix=reduced)
         self._masked_pairs = masked_pairs
 
-    def _propagate_with(self, adjacency) -> Tensor:
-        joint = self._joint_embeddings()
-        layers = [joint]
-        current = joint
-        for _ in range(self.num_layers):
-            current = sparse_dense_matmul(adjacency, current)
-            layers.append(current)
-        stacked = layers[0]
-        for layer in layers[1:]:
-            stacked = stacked + layer
-        return stacked * (1.0 / len(layers))
-
-    def propagate(self) -> tuple[Tensor, Tensor]:
-        return self._split(self._propagate_with(self.adjacency))
+    def propagate_joint(self) -> Tensor:
+        return self._mean_propagate(self.adjacency)
 
     def _reconstruction_loss(self) -> Tensor:
         """Binary cross-entropy on the masked links against random negatives."""
         if len(self._masked_pairs) == 0:
             return Tensor(0.0)
-        users_t, items_t = self._split(self._propagate_with(self._masked_adjacency))
+        users_t, items_t = self._split(self._mean_propagate(self._masked_adjacency))
         sample = self._masked_pairs
         if len(sample) > 512:
             chosen = self.rng.choice(len(sample), size=512, replace=False)
@@ -88,11 +76,10 @@ class AutoCF(GraphRecommender):
         labels = np.concatenate([np.ones(len(sample)), np.zeros(len(sample))])
         return F.bce_loss(logits, labels)
 
-    def _ssl_loss(self, batch: BprBatch) -> Tensor:
-        full = self._propagate_with(self.adjacency)
-        masked = self._propagate_with(self._masked_adjacency)
-        users_f, items_f = self._split(full)
-        users_m, items_m = self._split(masked)
+    def _ssl_loss(self, batch: BprBatch, propagated: Propagated) -> Tensor:
+        """Contrast the full-graph view (the clean propagation) with the masked one."""
+        users_f, items_f = propagated
+        users_m, items_m = self._split(self._mean_propagate(self._masked_adjacency))
         unique_users = np.unique(batch.users)
         unique_items = np.unique(batch.pos_items)
         user_loss = F.info_nce(
@@ -103,10 +90,12 @@ class AutoCF(GraphRecommender):
         )
         return user_loss + item_loss
 
-    def bpr_step(self, batch: BprBatch) -> Tensor:
-        loss = super().bpr_step(batch)
+    def bpr_step(self, batch: BprBatch, propagated: Propagated | None = None) -> Tensor:
+        if propagated is None:
+            propagated = self.propagate()
+        loss = super().bpr_step(batch, propagated)
         if self.reconstruction_weight:
             loss = loss + self.reconstruction_weight * self._reconstruction_loss()
         if self.ssl_weight:
-            loss = loss + self.ssl_weight * self._ssl_loss(batch)
+            loss = loss + self.ssl_weight * self._ssl_loss(batch, propagated)
         return loss

@@ -6,9 +6,11 @@ alignment frameworks (:mod:`repro.align`) can wrap any of them:
 ``propagate()``
     returns the full user and item embedding tables *on the autograd tape*
     after whatever message passing the backbone performs;
-``bpr_step(batch)``
+``bpr_step(batch, propagated=None)``
     returns the backbone's own training loss ``L_base`` (BPR + regularisation
-    + any self-supervised terms) for one mini-batch;
+    + any self-supervised terms) for one mini-batch, reading ``propagated``
+    (a ``propagate()`` result the caller already holds) instead of
+    propagating again when it is given;
 ``score_all()``
     returns the dense user × item score matrix used by the all-ranking
     evaluation protocol (gradient-free).
@@ -21,9 +23,12 @@ import numpy as np
 from ..data.interactions import InteractionDataset
 from ..data.sampling import BprBatch
 from ..graph.adjacency import build_normalized_adjacency
-from ..nn import Embedding, Module, Tensor, functional as F, no_grad
+from ..nn import Embedding, Module, Tensor, functional as F, no_grad, sparse_dense_matmul
 
-__all__ = ["BaseRecommender", "GraphRecommender"]
+__all__ = ["BaseRecommender", "GraphRecommender", "Propagated"]
+
+#: A backbone's ``propagate()`` result: (user table, item table) on the tape.
+Propagated = tuple[Tensor, Tensor]
 
 
 class BaseRecommender(Module):
@@ -77,9 +82,14 @@ class BaseRecommender(Module):
     def on_epoch_start(self) -> None:
         """Hook for backbones that refresh augmentation views every epoch."""
 
-    def bpr_step(self, batch: BprBatch) -> Tensor:
-        """Default ``L_base``: BPR ranking loss + L2 regularisation."""
-        users, items = self.propagate()
+    def bpr_step(self, batch: BprBatch, propagated: Propagated | None = None) -> Tensor:
+        """Default ``L_base``: BPR ranking loss + L2 regularisation.
+
+        ``propagated`` is this backbone's own :meth:`propagate` output when
+        the caller has already computed it on the tape (the joint objective
+        shares one propagation between this loss and the alignment term).
+        """
+        users, items = self.propagate() if propagated is None else propagated
         user_vec = users.take_rows(batch.users)
         pos_vec = items.take_rows(batch.pos_items)
         neg_vec = items.take_rows(batch.neg_items)
@@ -121,10 +131,34 @@ class GraphRecommender(BaseRecommender):
         self.num_layers = num_layers
         self.adjacency = build_normalized_adjacency(dataset)
 
+    def propagate_joint(self) -> Tensor:
+        """The joint table (user rows above item rows) after message passing."""
+        raise NotImplementedError
+
+    def propagate(self) -> tuple[Tensor, Tensor]:
+        return self._split(self.propagate_joint())
+
+    def representations(self) -> Tensor:
+        return self.propagate_joint()
+
     def _joint_embeddings(self) -> Tensor:
         return Tensor.concat([self.user_embedding.all(), self.item_embedding.all()], axis=0)
 
+    def _layer_outputs(self, adjacency) -> list[Tensor]:
+        """The joint embeddings at every propagation depth, layer zero first."""
+        layers = [self._joint_embeddings()]
+        for _ in range(self.num_layers):
+            layers.append(sparse_dense_matmul(adjacency, layers[-1]))
+        return layers
+
+    def _mean_propagate(self, adjacency) -> Tensor:
+        """LightGCN propagation: the mean of the embeddings at every depth."""
+        layers = self._layer_outputs(adjacency)
+        stacked = layers[0]
+        for layer in layers[1:]:
+            stacked = stacked + layer
+        return stacked * (1.0 / len(layers))
+
     def _split(self, joint: Tensor) -> tuple[Tensor, Tensor]:
-        users = joint[np.arange(self.num_users)]
-        items = joint[np.arange(self.num_users, self.num_users + self.num_items)]
-        return users, items
+        # Basic slices: views forward, a slice write backward.
+        return joint[: self.num_users], joint[self.num_users :]

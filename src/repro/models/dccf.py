@@ -13,8 +13,8 @@ import numpy as np
 
 from ..data.interactions import InteractionDataset
 from ..data.sampling import BprBatch
-from ..nn import Parameter, Tensor, functional as F, init, sparse_dense_matmul
-from .base import GraphRecommender
+from ..nn import Parameter, Tensor, functional as F, init
+from .base import GraphRecommender, Propagated
 
 __all__ = ["DCCF"]
 
@@ -49,16 +49,8 @@ class DCCF(GraphRecommender):
         )
 
     def _propagated(self) -> Tensor:
-        joint = self._joint_embeddings()
-        layers = [joint]
-        current = joint
-        for _ in range(self.num_layers):
-            current = sparse_dense_matmul(self.adjacency, current)
-            layers.append(current)
-        stacked = layers[0]
-        for layer in layers[1:]:
-            stacked = stacked + layer
-        return stacked * (1.0 / len(layers))
+        """The plain graph view: LightGCN propagation over the full graph."""
+        return self._mean_propagate(self.adjacency)
 
     def _intent_view(self, joint: Tensor) -> Tensor:
         """Reconstruct every node from the intent prototypes it attends to."""
@@ -69,12 +61,11 @@ class DCCF(GraphRecommender):
         item_view = item_attention @ self.item_intents
         return Tensor.concat([user_view, item_view], axis=0)
 
-    def propagate(self) -> tuple[Tensor, Tensor]:
+    def propagate_joint(self) -> Tensor:
         joint = self._propagated()
         # The ranking representation blends the graph view with the intent view,
         # which is where the disentangled semantics enter the final embedding.
-        blended = joint + 0.5 * self._intent_view(joint)
-        return self._split(blended)
+        return joint + 0.5 * self._intent_view(joint)
 
     def _ssl_loss(self, batch: BprBatch) -> Tensor:
         joint = self._propagated()
@@ -91,8 +82,8 @@ class DCCF(GraphRecommender):
         )
         return user_loss + item_loss
 
-    def bpr_step(self, batch: BprBatch) -> Tensor:
-        loss = super().bpr_step(batch)
+    def bpr_step(self, batch: BprBatch, propagated: Propagated | None = None) -> Tensor:
+        loss = super().bpr_step(batch, propagated)
         if self.ssl_weight:
             loss = loss + self.ssl_weight * self._ssl_loss(batch)
         return loss

@@ -8,7 +8,7 @@ them as LightGCN does.
 from __future__ import annotations
 
 from ..data.interactions import InteractionDataset
-from ..nn import Tensor, sparse_dense_matmul
+from ..nn import Tensor
 from .base import GraphRecommender
 
 __all__ = ["GCCF"]
@@ -32,12 +32,5 @@ class GCCF(GraphRecommender):
         """GCCF concatenates layers, so its output width grows with depth."""
         return self.embedding_dim * (self.num_layers + 1)
 
-    def propagate(self) -> tuple[Tensor, Tensor]:
-        joint = self._joint_embeddings()
-        layers = [joint]
-        current = joint
-        for _ in range(self.num_layers):
-            current = sparse_dense_matmul(self.adjacency, current)
-            layers.append(current)
-        concatenated = Tensor.concat(layers, axis=1)
-        return self._split(concatenated)
+    def propagate_joint(self) -> Tensor:
+        return Tensor.concat(self._layer_outputs(self.adjacency), axis=1)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from ..data.interactions import InteractionDataset
-from ..nn import Tensor, sparse_dense_matmul
+from ..nn import Tensor
 from .base import GraphRecommender
 
 __all__ = ["LightGCN"]
@@ -28,15 +28,5 @@ class LightGCN(GraphRecommender):
     ) -> None:
         super().__init__(dataset, embedding_dim, num_layers, l2_weight, seed)
 
-    def propagate(self) -> tuple[Tensor, Tensor]:
-        joint = self._joint_embeddings()
-        layers = [joint]
-        current = joint
-        for _ in range(self.num_layers):
-            current = sparse_dense_matmul(self.adjacency, current)
-            layers.append(current)
-        stacked = layers[0]
-        for layer in layers[1:]:
-            stacked = stacked + layer
-        averaged = stacked * (1.0 / len(layers))
-        return self._split(averaged)
+    def propagate_joint(self) -> Tensor:
+        return self._mean_propagate(self.adjacency)

@@ -7,8 +7,8 @@ import numpy as np
 from ..data.interactions import InteractionDataset
 from ..data.sampling import BprBatch
 from ..graph.augment import edge_dropout_view, node_dropout_view
-from ..nn import Tensor, functional as F, sparse_dense_matmul
-from .base import GraphRecommender
+from ..nn import Tensor, functional as F
+from .base import GraphRecommender, Propagated
 
 __all__ = ["SGL"]
 
@@ -53,24 +53,12 @@ class SGL(GraphRecommender):
             augment(self.dataset, self.drop_rate, self.rng),
         ]
 
-    def _propagate_with(self, adjacency) -> Tensor:
-        joint = self._joint_embeddings()
-        layers = [joint]
-        current = joint
-        for _ in range(self.num_layers):
-            current = sparse_dense_matmul(adjacency, current)
-            layers.append(current)
-        stacked = layers[0]
-        for layer in layers[1:]:
-            stacked = stacked + layer
-        return stacked * (1.0 / len(layers))
-
-    def propagate(self) -> tuple[Tensor, Tensor]:
-        return self._split(self._propagate_with(self.adjacency))
+    def propagate_joint(self) -> Tensor:
+        return self._mean_propagate(self.adjacency)
 
     def _ssl_loss(self, batch: BprBatch) -> Tensor:
-        view_a = self._propagate_with(self._view_adjacency[0])
-        view_b = self._propagate_with(self._view_adjacency[1])
+        view_a = self._mean_propagate(self._view_adjacency[0])
+        view_b = self._mean_propagate(self._view_adjacency[1])
         users_a, items_a = self._split(view_a)
         users_b, items_b = self._split(view_b)
         unique_users = np.unique(batch.users)
@@ -83,8 +71,8 @@ class SGL(GraphRecommender):
         )
         return user_loss + item_loss
 
-    def bpr_step(self, batch: BprBatch) -> Tensor:
-        loss = super().bpr_step(batch)
+    def bpr_step(self, batch: BprBatch, propagated: Propagated | None = None) -> Tensor:
+        loss = super().bpr_step(batch, propagated)
         if self.ssl_weight:
             loss = loss + self.ssl_weight * self._ssl_loss(batch)
         return loss

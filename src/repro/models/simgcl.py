@@ -7,7 +7,7 @@ import numpy as np
 from ..data.interactions import InteractionDataset
 from ..data.sampling import BprBatch
 from ..nn import Tensor, functional as F, sparse_dense_matmul
-from .base import GraphRecommender
+from .base import GraphRecommender, Propagated
 
 __all__ = ["SimGCL"]
 
@@ -60,8 +60,8 @@ class SimGCL(GraphRecommender):
             stacked = stacked + layer
         return stacked * (1.0 / len(layers))
 
-    def propagate(self) -> tuple[Tensor, Tensor]:
-        return self._split(self._propagate(perturb=False))
+    def propagate_joint(self) -> Tensor:
+        return self._propagate(perturb=False)
 
     def _ssl_loss(self, batch: BprBatch) -> Tensor:
         view_a = self._propagate(perturb=True)
@@ -78,8 +78,8 @@ class SimGCL(GraphRecommender):
         )
         return user_loss + item_loss
 
-    def bpr_step(self, batch: BprBatch) -> Tensor:
-        loss = super().bpr_step(batch)
+    def bpr_step(self, batch: BprBatch, propagated: Propagated | None = None) -> Tensor:
+        loss = super().bpr_step(batch, propagated)
         if self.ssl_weight:
             loss = loss + self.ssl_weight * self._ssl_loss(batch)
         return loss
